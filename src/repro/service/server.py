@@ -30,6 +30,7 @@ JSON protocol of :mod:`repro.service.protocol`:
 
 from __future__ import annotations
 
+import logging
 import queue
 import socket
 import threading
@@ -50,6 +51,8 @@ from repro.service.protocol import (
     recv_message,
     send_message,
 )
+
+logger = logging.getLogger(__name__)
 
 #: Backpressure modes an :class:`IngestQueue` implements.
 BACKPRESSURE_MODES = ("block", "shed")
@@ -260,6 +263,7 @@ class TelemetryServer:
         self._abandon = False
         self._started = False
         self._checkpoint_saves = 0
+        self._checkpoint_failures = 0
         self._checkpoint_error: Optional[str] = None
         self._started_at: Optional[float] = None
 
@@ -440,6 +444,11 @@ class TelemetryServer:
                         break
                 except OSError:
                     break
+                finally:
+                    if request_op == "shutdown":
+                        # Only once the reply is written: the owner's stop()
+                        # closes this connection as soon as the event is set.
+                        self._shutdown_requested.set()
                 protocol = next_protocol
         finally:
             stream.close()
@@ -492,7 +501,8 @@ class TelemetryServer:
             # the connection loop intercepts hello to switch its framing.
             return self._op_hello(request, "json")[0]
         if op == "shutdown":
-            self._shutdown_requested.set()
+            # The connection loop raises the shutdown event after this
+            # reply is sent (see _serve_connection).
             return ok_response(stopping=True)
         return error_response(
             f"unknown op {op!r}; supported: observe, snapshot, results, "
@@ -715,6 +725,7 @@ class TelemetryServer:
         if self.checkpoint_path is not None:
             checkpoint["interval"] = self.checkpoint_interval
             checkpoint["saves"] = self._checkpoint_saves
+            checkpoint["failures"] = self._checkpoint_failures
             checkpoint["last_error"] = self._checkpoint_error
         return ok_response(
             drained=drained,
@@ -893,9 +904,12 @@ class TelemetryServer:
             return
         key = _route_key(route)
         next_seq = self._next_seq.setdefault(key, 0)
-        if seq < next_seq:
-            # A replay of an already-applied block (e.g. a client retry);
-            # applying it twice would double-count, so drop and account.
+        # Only this (consumer) thread mutates the reorder buffers, so the
+        # membership test needs no lock.
+        if seq < next_seq or seq in self._pending.get(key, ()):
+            # A replay of an applied or already-parked block (e.g. a client
+            # retry): keep the first copy, and count this one as applied so
+            # that accepted == applied + parked still balances.
             with self._pipeline:
                 if not marker:
                     self._applied_blocks += 1
@@ -999,14 +1013,22 @@ class TelemetryServer:
     def _save_checkpoint(self) -> bool:
         """Save the monitor; never raises (a transient disk error must
         not kill the periodic thread or turn shutdown into a traceback —
-        it is recorded and surfaced via stats / the checkpoint op)."""
+        it is logged, counted and surfaced via stats / the checkpoint op)."""
         assert self.checkpoint_path is not None
-        try:
-            with self._monitor_lock:
+        # The monitor lock also serialises the periodic thread and the
+        # checkpoint op on the counters below.
+        with self._monitor_lock:
+            try:
                 self.monitor.save(self.checkpoint_path)
-        except Exception as exc:  # disk errors, serde failures — record all
-            self._checkpoint_error = str(exc)
-            return False
-        self._checkpoint_error = None
-        self._checkpoint_saves += 1
+            except Exception as exc:  # disk errors, serde failures — record all
+                self._checkpoint_error = str(exc)
+                self._checkpoint_failures += 1
+                logger.exception(
+                    "checkpoint save to %s failed (%d failure(s) so far)",
+                    self.checkpoint_path,
+                    self._checkpoint_failures,
+                )
+                return False
+            self._checkpoint_error = None
+            self._checkpoint_saves += 1
         return True

@@ -18,9 +18,19 @@ intact.
 **Crash safety.**  On open, every log is scanned record by record; the
 first torn record (bad CRC, missing newline, undecodable body) marks the
 end of committed history — the in-memory index stops there and the file
-is truncated back to the last intact byte before new appends.  There is
-no separate index file to desync: the index is always rebuilt from the
-data, which is what makes ``kill -9`` mid-append recoverable.
+is truncated back to the last intact byte before new appends (logged as
+a warning and counted).  There is no separate index file to desync: the
+index is always rebuilt from the data, which is what makes ``kill -9``
+mid-append recoverable.
+
+**Bounded memory.**  The index holds only each segment's coordinates —
+its period range, event count, kind and the byte span of its record
+line — never its sketch state.  Reads (:meth:`SegmentStore.covering`,
+:meth:`SegmentStore.segments`) fetch those byte spans from the log and
+CRC-check and decode them on demand, so server memory does not grow
+with the length of history.  A record that fails its check on such a
+read (the file changed under an open store) raises :class:`StoreError`;
+a torn record is never served.
 
 **Idempotent re-append.**  A writer resuming from a checkpoint may replay
 periods whose segments were already committed (the store outlived the
@@ -33,11 +43,12 @@ from __future__ import annotations
 
 import bisect
 import json
+import logging
 import os
 import tempfile
 import urllib.parse
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro import serde
 from repro.store.segment import (
@@ -57,6 +68,8 @@ STORE_VERSION = 1
 
 #: Suffix of per-metric segment logs.
 LOG_SUFFIX = ".seg"
+
+logger = logging.getLogger(__name__)
 
 
 class StoreError(ValueError):
@@ -131,14 +144,41 @@ def _metric_from_filename(filename: str) -> str:
     return urllib.parse.unquote(filename[: -len(LOG_SUFFIX)])
 
 
+class _Entry(NamedTuple):
+    """Where one committed segment lives: its coordinates, not its state."""
+
+    start_period: int
+    end_period: int
+    count: int
+    kind: str
+    #: Byte offset and length of the segment's record line in the log.
+    offset: int
+    length: int
+
+    @classmethod
+    def of(cls, segment: Segment, offset: int, length: int) -> "_Entry":
+        return cls(
+            segment.start_period,
+            segment.end_period,
+            segment.count,
+            segment.kind,
+            offset,
+            length,
+        )
+
+    @property
+    def periods(self) -> int:
+        return self.end_period - self.start_period
+
+
 class _MetricLog:
     """In-memory index of one metric's segment log."""
 
-    __slots__ = ("spec_dict", "segments", "starts", "valid_bytes")
+    __slots__ = ("spec_dict", "entries", "starts", "valid_bytes")
 
     def __init__(self, spec_dict: Dict[str, Any]) -> None:
         self.spec_dict = spec_dict
-        self.segments: List[Segment] = []
+        self.entries: List[_Entry] = []
         #: Sorted start_period of each indexed segment (bisect key).
         self.starts: List[int] = []
         self.valid_bytes = 0
@@ -146,7 +186,7 @@ class _MetricLog:
     @property
     def next_period(self) -> int:
         """First period not yet covered by a committed segment."""
-        return self.segments[-1].end_period if self.segments else 0
+        return self.entries[-1].end_period if self.entries else 0
 
 
 class SegmentStore:
@@ -238,6 +278,7 @@ class SegmentStore:
         path = self._log_path(metric)
         log: Optional[_MetricLog] = None
         valid_bytes = 0
+        dropped = 0
         with open(path, "rb") as handle:
             while True:
                 line = handle.readline()
@@ -255,17 +296,27 @@ class SegmentStore:
                                 f"segment for metric {segment.metric!r} found in "
                                 f"{metric!r}'s log"
                             )
-                        self._index_segment(log, segment)
+                        self._index_segment(log, segment, valid_bytes, len(line))
                     else:
                         raise serde.StateError(
                             f"unexpected record kind {kind!r} in segment log"
                         )
                 except (TornRecord, serde.StateError):
                     # Committed history ends at the last intact record; the
-                    # torn/foreign tail is dropped (and truncated below).
-                    self.torn_records_dropped += 1
+                    # torn/foreign record and everything after it are
+                    # dropped (and truncated below).
+                    dropped = 1 + sum(1 for _ in handle)
                     break
                 valid_bytes += len(line)
+        if dropped:
+            self.torn_records_dropped += dropped
+            logger.warning(
+                "%s: torn record at byte offset %d; dropping %d record(s) "
+                "from there to the end of the log",
+                path,
+                valid_bytes,
+                dropped,
+            )
         if log is None:
             # Even the spec record is torn: nothing of this metric was
             # durably committed. Drop the file entirely.
@@ -279,11 +330,13 @@ class SegmentStore:
         self._logs[metric] = log
 
     @staticmethod
-    def _index_segment(log: _MetricLog, segment: Segment) -> None:
-        if log.segments and segment.start_period < log.segments[-1].end_period:
+    def _index_segment(
+        log: _MetricLog, segment: Segment, offset: int, length: int
+    ) -> None:
+        if log.entries and segment.start_period < log.next_period:
             # Replayed history after a checkpoint resume: already covered.
             raise _Duplicate()
-        log.segments.append(segment)
+        log.entries.append(_Entry.of(segment, offset, length))
         log.starts.append(segment.start_period)
 
     # ------------------------------------------------------------------
@@ -333,22 +386,14 @@ class SegmentStore:
         docstring); a gap or overlap that is *not* a clean replay raises.
         """
         log = self._require_metric(segment.metric)
-        if not log.segments:
-            # An empty log accepts any starting period: a recorder attached
-            # mid-life (e.g. after resuming a pre-history checkpoint) begins
-            # committed history wherever it first observes a full period.
-            line = encode_line(segment.to_record())
-            handle = self._handle(segment.metric)
-            handle.write(line)
-            handle.flush()
-            log.valid_bytes += len(line)
-            self._index_segment(log, segment)
-            return True
-        next_period = log.next_period
-        if segment.end_period <= next_period:
-            self.duplicates_skipped += 1
-            return False
-        if segment.start_period != next_period:
+        # An empty log accepts any starting period: a recorder attached
+        # mid-life (e.g. after resuming a pre-history checkpoint) begins
+        # committed history wherever it first observes a full period.
+        if log.entries:
+            next_period = log.next_period
+            if segment.end_period <= next_period:
+                self.duplicates_skipped += 1
+                return False
             if segment.start_period < next_period:
                 raise StoreError(
                     f"metric {segment.metric!r}: segment "
@@ -356,18 +401,19 @@ class SegmentStore:
                     f"committed history (next period is {next_period}); "
                     "segments must replay exactly or continue the log"
                 )
-            raise StoreError(
-                f"metric {segment.metric!r}: segment starts at period "
-                f"{segment.start_period} but the log's next period is "
-                f"{next_period}; history must be gap-free — replay the "
-                "missing periods first"
-            )
+            if segment.start_period > next_period:
+                raise StoreError(
+                    f"metric {segment.metric!r}: segment starts at period "
+                    f"{segment.start_period} but the log's next period is "
+                    f"{next_period}; history must be gap-free — replay the "
+                    "missing periods first"
+                )
         line = encode_line(segment.to_record())
         handle = self._handle(segment.metric)
         handle.write(line)
         handle.flush()
+        self._index_segment(log, segment, log.valid_bytes, len(line))
         log.valid_bytes += len(line)
-        self._index_segment(log, segment)
         return True
 
     # ------------------------------------------------------------------
@@ -388,19 +434,20 @@ class SegmentStore:
         return MetricSpec.from_dict(self.spec_dict(metric))
 
     def segments(self, metric: str) -> List[Segment]:
-        """All committed segments of a metric, in time order."""
-        return list(self._require_metric(metric).segments)
+        """All committed segments of a metric, in time order (read from disk)."""
+        return self._read(metric, self._require_metric(metric).entries)
 
     def coverage(self, metric: str) -> Tuple[int, int]:
         """The committed period range ``[first, next)`` of a metric."""
         log = self._require_metric(metric)
-        if not log.segments:
+        if not log.entries:
             return (0, 0)
-        return (log.segments[0].start_period, log.next_period)
+        return (log.entries[0].start_period, log.next_period)
 
     def covering(self, metric: str, start: int, end: int) -> List[Segment]:
         """The segments whose union is exactly periods ``[start, end)``.
 
+        The segments are read from the log on demand (see :meth:`_read`).
         Raises :class:`StoreError` with an actionable message when the
         range is outside committed history, spans a retention gap, or cuts
         through a rollup segment (compaction coarsened those periods; the
@@ -418,44 +465,92 @@ class SegmentStore:
                 f"period range [{start}, {end}) is empty; end must exceed start"
             )
         first, nxt = self.coverage(metric)
-        if not log.segments or start < first or end > nxt:
+        if not log.entries or start < first or end > nxt:
             raise StoreError(
                 f"metric {metric!r}: periods [{start}, {end}) are outside "
                 f"committed history [{first}, {nxt}); older periods may have "
                 "been dropped by retention"
             )
         index = bisect.bisect_right(log.starts, start) - 1
-        chosen: List[Segment] = []
+        chosen: List[_Entry] = []
         cursor = start
         while cursor < end:
-            segment = log.segments[index]
-            if segment.start_period != cursor:
+            entry = log.entries[index]
+            if entry.start_period != cursor:
                 boundaries = self._boundaries_near(log, start, end)
                 raise StoreError(
                     f"metric {metric!r}: period {cursor} falls inside the "
-                    f"compacted segment [{segment.start_period}, "
-                    f"{segment.end_period}); ranges must align with segment "
+                    f"compacted segment [{entry.start_period}, "
+                    f"{entry.end_period}); ranges must align with segment "
                     f"boundaries — nearest achievable: {boundaries}"
                 )
-            if segment.end_period > end:
+            if entry.end_period > end:
                 boundaries = self._boundaries_near(log, start, end)
                 raise StoreError(
                     f"metric {metric!r}: period range [{start}, {end}) ends "
-                    f"inside the compacted segment [{segment.start_period}, "
-                    f"{segment.end_period}); ranges must align with segment "
+                    f"inside the compacted segment [{entry.start_period}, "
+                    f"{entry.end_period}); ranges must align with segment "
                     f"boundaries — nearest achievable: {boundaries}"
                 )
-            chosen.append(segment)
-            cursor = segment.end_period
+            chosen.append(entry)
+            cursor = entry.end_period
             index += 1
-        return chosen
+        return self._read(metric, chosen)
+
+    def _read(self, metric: str, entries: Sequence[_Entry]) -> List[Segment]:
+        """Load indexed segments (in log order) back from the metric's log.
+
+        One read spans the entries' byte ranges; each record is then
+        CRC-checked, decoded and matched against the coordinates it was
+        indexed under.  Any mismatch means the file changed after the
+        store opened it, and raises :class:`StoreError` rather than serve
+        a torn or foreign record.
+        """
+        if not entries:
+            return []
+        path = self._log_path(metric)
+        begin = entries[0].offset
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(begin)
+                blob = handle.read(entries[-1].offset + entries[-1].length - begin)
+        except OSError as exc:
+            raise StoreError(
+                f"{path}: cannot read metric {metric!r} from byte offset "
+                f"{begin} ({exc})"
+            ) from None
+        segments: List[Segment] = []
+        for entry in entries:
+            at = entry.offset - begin
+            try:
+                segment = Segment.from_record(decode_line(blob[at : at + entry.length]))
+                if (
+                    segment.metric != metric
+                    or _Entry.of(segment, entry.offset, entry.length) != entry
+                ):
+                    raise serde.StateError(
+                        f"record of {segment.metric!r} {segment.kind} "
+                        f"[{segment.start_period}, {segment.end_period}) with "
+                        f"{segment.count} events does not match its index "
+                        f"entry {entry.kind} [{entry.start_period}, "
+                        f"{entry.end_period}) with {entry.count} events"
+                    )
+            except (TornRecord, serde.StateError) as exc:
+                raise StoreError(
+                    f"{path}: metric {metric!r}: the record at byte offset "
+                    f"{entry.offset} fails its integrity check ({exc}); the "
+                    "log changed after the store opened it — reopen the store "
+                    "to recover its committed history"
+                ) from None
+            segments.append(segment)
+        return segments
 
     @staticmethod
     def _boundaries_near(log: _MetricLog, start: int, end: int) -> List[int]:
         """A handful of valid segment boundaries around a failed range."""
         boundaries = sorted(
-            {log.segments[0].start_period}
-            | {segment.end_period for segment in log.segments}
+            {log.entries[0].start_period}
+            | {entry.end_period for entry in log.entries}
         )
         lo = bisect.bisect_left(boundaries, start) - 2
         hi = bisect.bisect_right(boundaries, end) + 2
@@ -499,43 +594,48 @@ class SegmentStore:
         from repro.store.query import merge_segments
 
         log = self._require_metric(metric)
-        if not log.segments:
-            return 0
         horizon = log.next_period - min_age
-        rewritten: List[Segment] = []
-        run: List[Segment] = []
-        built = 0
+        # The rewritten log, planned on coordinates alone: each group
+        # becomes one segment — a rollup when it holds more than one.
+        groups: List[List[_Entry]] = []
+        run: List[_Entry] = []
 
         def flush_run() -> None:
-            nonlocal built
             while len(run) and run[0].periods >= rollup:
-                rewritten.append(run.pop(0))
+                groups.append([run.pop(0)])
             while run:
-                batch: List[Segment] = []
+                batch: List[_Entry] = []
                 width = 0
                 while run and width + run[0].periods <= rollup:
                     width += run[0].periods
                     batch.append(run.pop(0))
                 if not batch:
                     # A single segment wider than the target: keep as-is.
-                    rewritten.append(run.pop(0))
+                    groups.append([run.pop(0)])
                     continue
                 if width < rollup or len(batch) == 1:
                     # A remnant shorter than a full rollup (or already one
                     # segment): leave fine-grained for a later pass.
-                    rewritten.extend(batch)
+                    groups.extend([entry] for entry in batch)
                     continue
-                rewritten.append(merge_segments(batch, kind="rollup"))
-                built += 1
+                groups.append(batch)
 
-        for segment in log.segments:
-            if segment.end_period <= horizon:
-                run.append(segment)
+        for entry in log.entries:
+            if entry.end_period <= horizon:
+                run.append(entry)
             else:
                 flush_run()
-                rewritten.append(segment)
+                groups.append([entry])
         flush_run()
+        built = sum(1 for group in groups if len(group) > 1)
         if built:
+            segments = iter(self._read(metric, log.entries))
+            rewritten = []
+            for group in groups:
+                batch = [next(segments) for _ in group]
+                rewritten.append(
+                    merge_segments(batch, kind="rollup") if len(batch) > 1 else batch[0]
+                )
             self._rewrite_log(metric, rewritten)
         return built
 
@@ -557,10 +657,10 @@ class SegmentStore:
         for name in names:
             log = self._require_metric(name)
             horizon = log.next_period - keep
-            kept = [s for s in log.segments if s.end_period > horizon]
-            if len(kept) != len(log.segments):
-                dropped += len(log.segments) - len(kept)
-                self._rewrite_log(name, kept)
+            kept = [e for e in log.entries if e.end_period > horizon]
+            if len(kept) != len(log.entries):
+                dropped += len(log.entries) - len(kept)
+                self._rewrite_log(name, self._read(name, kept))
         return dropped
 
     def maintain(self) -> Dict[str, int]:
@@ -577,6 +677,11 @@ class SegmentStore:
         lines = [encode_line(spec_record(metric, log.spec_dict))]
         lines.extend(encode_line(segment.to_record()) for segment in segments)
         payload = b"".join(lines)
+        entries: List[_Entry] = []
+        offset = len(lines[0])
+        for segment, line in zip(segments, lines[1:]):
+            entries.append(_Entry.of(segment, offset, len(line)))
+            offset += len(line)
         fd, tmp_path = tempfile.mkstemp(
             dir=self.directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
         )
@@ -592,8 +697,8 @@ class SegmentStore:
             except OSError:
                 pass
             raise
-        log.segments = list(segments)
-        log.starts = [segment.start_period for segment in segments]
+        log.entries = entries
+        log.starts = [entry.start_period for entry in entries]
         log.valid_bytes = len(payload)
 
     # ------------------------------------------------------------------
@@ -621,11 +726,11 @@ class SegmentStore:
         for name, log in self._logs.items():
             first, nxt = self.coverage(name)
             metrics[name] = {
-                "segments": len(log.segments),
-                "rollups": sum(1 for s in log.segments if s.kind == "rollup"),
+                "segments": len(log.entries),
+                "rollups": sum(1 for e in log.entries if e.kind == "rollup"),
                 "first_period": first,
                 "next_period": nxt,
-                "events": sum(s.count for s in log.segments),
+                "events": sum(e.count for e in log.entries),
                 "bytes": log.valid_bytes,
             }
         return {

@@ -9,6 +9,7 @@ drain guarantee.
 import queue
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -265,6 +266,27 @@ class TestSequenceReordering:
         assert server.monitor._channels["rtt"].seen == 100
         assert client.stats()["pipeline"]["duplicate_blocks"] == 1
 
+    def test_duplicate_of_a_parked_seq_keeps_the_first_and_drains(self):
+        """A retry of a block still parked behind a gap: the first copy
+        stays parked, the second counts as applied + duplicate, so the
+        pipeline balances and flush drains at once instead of waiting
+        out flush_timeout."""
+        with TelemetryServer(make_monitor(), flush_timeout=30.0) as server:
+            host, port = server.address
+            with TelemetryClient(host, port) as client:
+                client.observe("rtt", np.full(100, 2.0), seq=1)
+                client.observe("rtt", np.full(50, 9.0), seq=1)  # retry, parked
+                client.observe("rtt", np.full(100, 1.0), seq=0)
+                started = time.monotonic()
+                flush = client.flush()
+                assert flush["drained"] is True
+                assert time.monotonic() - started < 5.0
+                assert flush["duplicate_blocks"] == 1
+                assert flush["parked_blocks"] == 0
+                # The first copy of seq 1 was applied, not the retry.
+                assert server.monitor._channels["rtt"].seen == 200
+                assert client.flush()["drained"] is True
+
     def test_empty_sequenced_block_advances_the_cursor(self, server, client):
         """A zero-event block carrying a seq must not wedge the metric:
         the cursor advances and later blocks still apply."""
@@ -360,6 +382,7 @@ class TestControlOps:
                 stats = client.stats()
                 assert stats["checkpoint"]["last_error"]
                 assert stats["checkpoint"]["saves"] == 0
+                assert stats["checkpoint"]["failures"] == 1
                 # The server still serves.
                 assert client.snapshot() is not None
                 (tmp_path / "gone").mkdir()
@@ -381,11 +404,88 @@ class TestControlOps:
                     time.sleep(0.05)
         assert Monitor.load(path)._channels["rtt"].seen == 100
 
+    def test_periodic_checkpoint_failures_are_logged_and_counted(
+        self, tmp_path, caplog
+    ):
+        """Every failed periodic save is logged and counted; the server
+        keeps serving."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        path = str(blocker / "ckpt.json")  # parent is a regular file
+        with caplog.at_level("ERROR", logger="repro.service.server"):
+            with TelemetryServer(
+                make_monitor(), checkpoint_path=path, checkpoint_interval=0.05
+            ) as server:
+                host, port = server.address
+                with TelemetryClient(host, port) as client:
+                    client.observe("rtt", np.ones(100))
+                    deadline = time.monotonic() + 5.0
+                    while server._checkpoint_failures < 2:
+                        assert time.monotonic() < deadline, "no failed saves"
+                        time.sleep(0.05)
+                    stats = client.stats()
+                    assert stats["checkpoint"]["failures"] >= 2
+                    assert stats["checkpoint"]["saves"] == 0
+                    assert stats["checkpoint"]["last_error"]
+                    assert client.snapshot() is not None
+        failures = [
+            record
+            for record in caplog.records
+            if record.name == "repro.service.server" and path in record.getMessage()
+        ]
+        assert len(failures) >= 2
+        assert all(record.levelname == "ERROR" for record in failures)
+
     def test_shutdown_op_releases_wait_shutdown(self, server, client):
         assert not server.wait_shutdown(timeout=0.0)
         response = client.shutdown()
         assert response["stopping"] is True
         assert server.wait_shutdown(timeout=2.0)
+
+
+class TestShutdownReply:
+    """The ``shutdown`` reply always reaches the client, even when the
+    server's owner stops it the moment ``wait_shutdown`` returns."""
+
+    ROUNDS = 50
+
+    @staticmethod
+    def _shutdown_then_stop() -> dict:
+        server = TelemetryServer(make_monitor())
+        send = server._send
+
+        def slow_send(conn, response, protocol, request_op):
+            if request_op == "shutdown":
+                # Widen the window in which an early stop() would close
+                # the connection before the reply is written.
+                time.sleep(0.25)
+            send(conn, response, protocol, request_op)
+
+        server._send = slow_send
+        server.start()
+
+        def owner():
+            server.wait_shutdown(timeout=10.0)
+            server.stop()
+
+        stopper = threading.Thread(target=owner, daemon=True)
+        stopper.start()
+        try:
+            host, port = server.address
+            with TelemetryClient(host, port, timeout=10.0) as client:
+                reply = client.shutdown()
+        finally:
+            stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        return reply
+
+    def test_shutdown_then_stop_always_replies(self):
+        # Rounds run on a few threads at once to bound the wall time.
+        with ThreadPoolExecutor(max_workers=10) as pool:
+            replies = list(
+                pool.map(lambda _: self._shutdown_then_stop(), range(self.ROUNDS))
+            )
+        assert [reply.get("stopping") for reply in replies] == [True] * self.ROUNDS
 
 
 class TestShutdownDrain:
