@@ -32,59 +32,28 @@ Under the hood the same pipeline is a ``Qmonitor`` query executed by
 per-event, batched or sharded path.
 """
 
-from repro.core import FewKConfig, QLOVEConfig, QLOVEPolicy
-from repro.service import MetricSpec, Monitor, load_specs
-from repro.sketches import (
-    AMPolicy,
-    CMQSPolicy,
-    ExactPolicy,
-    MomentPolicy,
-    PolicyOperator,
-    RandomPolicy,
-    available_policies,
-    make_policy,
-    policy_from_state,
-)
-from repro.streaming import (
-    Chunk,
-    CountWindow,
-    EngineCheckpoint,
-    Event,
-    ExecutionPlan,
-    Query,
-    StreamEngine,
-    TimeWindow,
-    chunk_stream,
-    value_stream,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AMPolicy",
-    "CMQSPolicy",
-    "Chunk",
-    "CountWindow",
-    "EngineCheckpoint",
-    "Event",
-    "ExactPolicy",
-    "ExecutionPlan",
-    "FewKConfig",
-    "MetricSpec",
-    "MomentPolicy",
-    "Monitor",
-    "PolicyOperator",
-    "QLOVEConfig",
-    "QLOVEPolicy",
-    "Query",
-    "RandomPolicy",
-    "StreamEngine",
-    "TimeWindow",
-    "available_policies",
-    "chunk_stream",
-    "load_specs",
-    "make_policy",
-    "policy_from_state",
-    "value_stream",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.config": ("FewKConfig", "QLOVEConfig"),
+    "repro.core.qlove": ("QLOVEPolicy",),
+    "repro.service.monitor": ("Monitor",),
+    "repro.service.spec": ("MetricSpec", "load_specs"),
+    "repro.sketches.am": ("AMPolicy",),
+    "repro.sketches.base": ("PolicyOperator",),
+    "repro.sketches.cmqs": ("CMQSPolicy",),
+    "repro.sketches.exact": ("ExactPolicy",),
+    "repro.sketches.moments": ("MomentPolicy",),
+    "repro.sketches.random_sketch": ("RandomPolicy",),
+    "repro.sketches.registry": ("available_policies", "make_policy", "policy_from_state"),
+    "repro.streaming.checkpoint": ("EngineCheckpoint",),
+    "repro.streaming.engine": ("StreamEngine",),
+    "repro.streaming.event": ("Event",),
+    "repro.streaming.plan": ("ExecutionPlan",),
+    "repro.streaming.query": ("Query",),
+    "repro.streaming.sources": ("Chunk", "chunk_stream", "value_stream"),
+    "repro.streaming.windows": ("CountWindow", "TimeWindow"),
+})
+__all__.append("__version__")

@@ -19,38 +19,21 @@ The two-level hierarchical design of Section 3:
 shared :class:`~repro.sketches.base.QuantilePolicy` interface.
 """
 
-from repro.core.burst import BurstDetector
-from repro.core.compression import Quantizer, quantize_array, quantize_significant
-from repro.core.config import FewKConfig, QLOVEConfig
-from repro.core.distributed import (
-    FleetCoordinator,
-    fleet_space_variables,
-    merge_level2,
-    merge_node_estimates,
-)
-from repro.core.error_bound import clt_error_bound, density_at_quantile, error_bound_from_data
-from repro.core.fewk import FewKMerger
-from repro.core.level2 import Level2Aggregator
-from repro.core.qlove import QLOVEPolicy
-from repro.core.summary import SubWindowBuilder, SubWindowSummary
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BurstDetector",
-    "FewKConfig",
-    "FewKMerger",
-    "FleetCoordinator",
-    "Level2Aggregator",
-    "QLOVEConfig",
-    "QLOVEPolicy",
-    "Quantizer",
-    "SubWindowBuilder",
-    "SubWindowSummary",
-    "clt_error_bound",
-    "density_at_quantile",
-    "error_bound_from_data",
-    "fleet_space_variables",
-    "merge_level2",
-    "merge_node_estimates",
-    "quantize_array",
-    "quantize_significant",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.burst": ("BurstDetector",),
+    "repro.core.compression": ("Quantizer", "quantize_array", "quantize_significant"),
+    "repro.core.config": ("FewKConfig", "QLOVEConfig"),
+    "repro.core.distributed": (
+        "FleetCoordinator",
+        "fleet_space_variables",
+        "merge_level2",
+        "merge_node_estimates",
+    ),
+    "repro.core.error_bound": ("clt_error_bound", "density_at_quantile", "error_bound_from_data"),
+    "repro.core.fewk": ("FewKMerger",),
+    "repro.core.level2": ("Level2Aggregator",),
+    "repro.core.qlove": ("QLOVEPolicy",),
+    "repro.core.summary": ("SubWindowBuilder", "SubWindowSummary"),
+})

@@ -17,27 +17,18 @@ frequency attribute per node (Section 3.1).  This subpackage provides:
   reservoir sampling, used by the Random baseline.
 """
 
-from repro.datastructures.frequency_map import (
-    DictFrequencyMap,
-    FrequencyMap,
-    TreeFrequencyMap,
-    frequency_map_from_state,
-    make_frequency_map,
-)
-from repro.datastructures.rbtree import RedBlackTree
-from repro.datastructures.reservoir import ReservoirSampler
-from repro.datastructures.sampling import interval_sample, sample_ranks
-from repro.datastructures.topk import TopKKeeper
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DictFrequencyMap",
-    "FrequencyMap",
-    "RedBlackTree",
-    "ReservoirSampler",
-    "TopKKeeper",
-    "TreeFrequencyMap",
-    "frequency_map_from_state",
-    "interval_sample",
-    "make_frequency_map",
-    "sample_ranks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.datastructures.frequency_map": (
+        "DictFrequencyMap",
+        "FrequencyMap",
+        "TreeFrequencyMap",
+        "frequency_map_from_state",
+        "make_frequency_map",
+    ),
+    "repro.datastructures.rbtree": ("RedBlackTree",),
+    "repro.datastructures.reservoir": ("ReservoirSampler",),
+    "repro.datastructures.sampling": ("interval_sample", "sample_ranks"),
+    "repro.datastructures.topk": ("TopKKeeper",),
+})

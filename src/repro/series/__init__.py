@@ -23,35 +23,21 @@ the wire protocol's labeled ``observe`` / ``group_by`` ops, and
 ``python -m repro query --group-by``.  See ``docs/labels.md``.
 """
 
-from repro.series.groupby import group_by_live, group_by_store, render_group_result
-from repro.series.index import SERIES_INDEX_STATE_VERSION, SeriesIndex
-from repro.series.labels import (
-    MAX_ENCODED_LABELSET,
-    ParsedSeriesKey,
-    canonical_labelset,
-    deterministic_labelsets,
-    encode_labelset,
-    parse_series_key,
-    series_key,
-    series_slice,
-    try_parse_series_key,
-    validate_label_schema,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MAX_ENCODED_LABELSET",
-    "SERIES_INDEX_STATE_VERSION",
-    "ParsedSeriesKey",
-    "SeriesIndex",
-    "canonical_labelset",
-    "deterministic_labelsets",
-    "encode_labelset",
-    "group_by_live",
-    "group_by_store",
-    "parse_series_key",
-    "render_group_result",
-    "series_key",
-    "series_slice",
-    "try_parse_series_key",
-    "validate_label_schema",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.series.groupby": ("group_by_live", "group_by_store", "render_group_result"),
+    "repro.series.index": ("SERIES_INDEX_STATE_VERSION", "SeriesIndex"),
+    "repro.series.labels": (
+        "MAX_ENCODED_LABELSET",
+        "ParsedSeriesKey",
+        "canonical_labelset",
+        "deterministic_labelsets",
+        "encode_labelset",
+        "parse_series_key",
+        "series_key",
+        "series_slice",
+        "try_parse_series_key",
+        "validate_label_schema",
+    ),
+})

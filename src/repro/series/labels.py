@@ -28,7 +28,6 @@ layer everything else builds on:
 
 from __future__ import annotations
 
-import hashlib
 import re
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import quote, unquote
@@ -145,6 +144,10 @@ def series_key(metric: str, items: LabelItems) -> str:
     """
     encoded = encode_labelset(items)
     if len(encoded) > MAX_ENCODED_LABELSET:
+        # Imported here: hashlib loads OpenSSL's libcrypto (~3 MB of RSS),
+        # and only an over-length labelset needs it.
+        import hashlib
+
         digest = hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:32]
         encoded = f"#{digest}"
     return f"{metric}{{{encoded}}}"

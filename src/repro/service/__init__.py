@@ -34,25 +34,11 @@ storage) plugs in underneath via
 surface.
 """
 
-from repro.service.client import (
-    LoadGenerator,
-    ServerError,
-    TelemetryClient,
-    wait_for_server,
-)
-from repro.service.monitor import MetricChannel, Monitor
-from repro.service.server import IngestQueue, TelemetryServer
-from repro.service.spec import MetricSpec, load_specs
+from repro._exports import lazy_exports
 
-__all__ = [
-    "IngestQueue",
-    "LoadGenerator",
-    "MetricChannel",
-    "MetricSpec",
-    "Monitor",
-    "ServerError",
-    "TelemetryClient",
-    "TelemetryServer",
-    "load_specs",
-    "wait_for_server",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.client": ("LoadGenerator", "ServerError", "TelemetryClient", "wait_for_server"),
+    "repro.service.monitor": ("MetricChannel", "Monitor"),
+    "repro.service.server": ("IngestQueue", "TelemetryServer"),
+    "repro.service.spec": ("MetricSpec", "load_specs"),
+})

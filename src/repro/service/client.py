@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.service import binary
 from repro.service.protocol import ConnectionClosed, recv_message, send_message
-from repro.streaming.engine import WindowResult
+from repro.streaming.result import WindowResult
 
 #: Wire protocols a :class:`TelemetryClient` can speak.
 CLIENT_PROTOCOLS = ("json", "binary")

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro import serde
 from repro.service.spec import MetricSpec
-from repro.streaming.engine import WindowResult
+from repro.streaming.result import WindowResult
 
 #: Per-period callback: ``callback(metric_name, window_result)``.
 ResultCallback = Callable[[str, WindowResult], None]

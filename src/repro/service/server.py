@@ -245,6 +245,8 @@ class TelemetryServer:
         self._applied_events = 0
         self._forced_blocks = 0
         self._duplicate_blocks = 0
+        #: Requests whose handler raised (answered with an error response).
+        self._internal_errors = 0
         #: Per-route reorder buffers: route key (metric name, or series
         #: key for labeled blocks) -> seq -> (route, values, is_marker).
         #: Written by the consumer thread, sized by control threads;
@@ -430,6 +432,9 @@ class TelemetryServer:
                     else:
                         response = self._handle(request)
                 except Exception as exc:  # keep the connection alive
+                    logger.exception("internal error handling op %r", request_op)
+                    with self._pipeline:
+                        self._internal_errors += 1
                     response = error_response(
                         f"internal error handling {request_op!r}: {exc}"
                     )
@@ -873,15 +878,25 @@ class TelemetryServer:
             if self._abandon:
                 return
             for key in sorted(orphaned):
+                forced = 0
                 for seq, (route, values, marker) in orphaned[key]:
                     if marker:
                         continue
                     self._ingest(route, values)
+                    forced += 1
                     with self._pipeline:
                         self._applied_blocks += 1
                         self._forced_blocks += 1
                         self._applied_events += len(values)
                         self._pipeline.notify_all()
+                if forced:
+                    logger.warning(
+                        "shutdown force-applied %d parked block(s) of %s "
+                        "past a seq gap; lowest missing seq %d",
+                        forced,
+                        key,
+                        self._next_seq[key],
+                    )
 
     def _ingest(self, route: Route, values: np.ndarray) -> None:
         """Hand one block's values to the monitor (per-series if labeled)."""
@@ -964,6 +979,7 @@ class TelemetryServer:
                 "parked_blocks": self._parked_blocks(),
                 "forced_blocks": self._forced_blocks,
                 "duplicate_blocks": self._duplicate_blocks,
+                "internal_errors": self._internal_errors,
             }
 
     def _wait_drained(self, timeout: float, ignore_parked: bool = False) -> bool:

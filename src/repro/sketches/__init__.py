@@ -21,36 +21,22 @@ factory, so experiments can instantiate any policy by name via
 :func:`make_policy`.
 """
 
-from repro.sketches.am import AMPolicy
-from repro.sketches.base import PolicyOperator, QuantilePolicy
-from repro.sketches.cmqs import CMQSPolicy
-from repro.sketches.exact import ExactPolicy
-from repro.sketches.gk import GKSummary
-from repro.sketches.kll import KLLSketch
-from repro.sketches.moments import MomentPolicy, MomentSolver
-from repro.sketches.random_sketch import RandomPolicy
-from repro.sketches.registry import (
-    available_policies,
-    get_policy_factory,
-    make_policy,
-    policy_from_state,
-    register_policy,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AMPolicy",
-    "CMQSPolicy",
-    "ExactPolicy",
-    "GKSummary",
-    "KLLSketch",
-    "MomentPolicy",
-    "MomentSolver",
-    "PolicyOperator",
-    "QuantilePolicy",
-    "RandomPolicy",
-    "available_policies",
-    "get_policy_factory",
-    "make_policy",
-    "policy_from_state",
-    "register_policy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sketches.am": ("AMPolicy",),
+    "repro.sketches.base": ("PolicyOperator", "QuantilePolicy"),
+    "repro.sketches.cmqs": ("CMQSPolicy",),
+    "repro.sketches.exact": ("ExactPolicy",),
+    "repro.sketches.gk": ("GKSummary",),
+    "repro.sketches.kll": ("KLLSketch",),
+    "repro.sketches.moments": ("MomentPolicy", "MomentSolver"),
+    "repro.sketches.random_sketch": ("RandomPolicy",),
+    "repro.sketches.registry": (
+        "available_policies",
+        "get_policy_factory",
+        "make_policy",
+        "policy_from_state",
+        "register_policy",
+    ),
+})

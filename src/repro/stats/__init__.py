@@ -6,13 +6,9 @@
   QLOVE's burst detector (Section 4.3).
 """
 
-from repro.stats.mannwhitney import MannWhitneyResult, mann_whitney_u
-from repro.stats.normal import normal_cdf, normal_pdf, normal_ppf
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MannWhitneyResult",
-    "mann_whitney_u",
-    "normal_cdf",
-    "normal_pdf",
-    "normal_ppf",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stats.mannwhitney": ("MannWhitneyResult", "mann_whitney_u"),
+    "repro.stats.normal": ("normal_cdf", "normal_pdf", "normal_ppf"),
+})

@@ -15,51 +15,32 @@ group_by_store` — re-exported here — answers historical group-by
 queries over them.
 """
 
-from repro.series.groupby import group_by_store, render_group_result
-from repro.store.query import (
-    merge_segments,
-    query_at,
-    query_range,
-    query_series,
-    rebuild_policy,
-    render_result,
-)
-from repro.store.segment import (
-    SEGMENT_KINDS,
-    SEGMENT_VERSION,
-    Segment,
-    TornRecord,
-    decode_line,
-    encode_line,
-)
-from repro.store.store import (
-    STORE_FORMAT,
-    STORE_VERSION,
-    RetentionPolicy,
-    SegmentStore,
-    StoreError,
-)
-from repro.store.writer import HistoryWriter
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SEGMENT_KINDS",
-    "SEGMENT_VERSION",
-    "STORE_FORMAT",
-    "STORE_VERSION",
-    "HistoryWriter",
-    "RetentionPolicy",
-    "Segment",
-    "SegmentStore",
-    "StoreError",
-    "TornRecord",
-    "decode_line",
-    "encode_line",
-    "group_by_store",
-    "merge_segments",
-    "query_at",
-    "query_range",
-    "query_series",
-    "rebuild_policy",
-    "render_group_result",
-    "render_result",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.series.groupby": ("group_by_store", "render_group_result"),
+    "repro.store.query": (
+        "merge_segments",
+        "query_at",
+        "query_range",
+        "query_series",
+        "rebuild_policy",
+        "render_result",
+    ),
+    "repro.store.segment": (
+        "SEGMENT_KINDS",
+        "SEGMENT_VERSION",
+        "Segment",
+        "TornRecord",
+        "decode_line",
+        "encode_line",
+    ),
+    "repro.store.store": (
+        "STORE_FORMAT",
+        "STORE_VERSION",
+        "RetentionPolicy",
+        "SegmentStore",
+        "StoreError",
+    ),
+    "repro.store.writer": ("HistoryWriter",),
+})

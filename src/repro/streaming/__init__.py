@@ -16,6 +16,9 @@ period.  This subpackage provides exactly that contract:
   (``window().where().select().aggregate()``).
 - :mod:`~repro.streaming.engine` — the execution loops and the unified
   ``StreamEngine.execute`` entry point.
+- :mod:`~repro.streaming.result` — :class:`WindowResult`, the record one
+  evaluation emits (a leaf module, so the service layer can build
+  results without loading the engine).
 - :mod:`~repro.streaming.plan` — :class:`ExecutionPlan`, the declarative
   choice of execution path (auto / events / batched / sharded).
 - :mod:`~repro.streaming.checkpoint` — :class:`EngineCheckpoint`,
@@ -28,68 +31,39 @@ period.  This subpackage provides exactly that contract:
   partition across N per-shard policies, merge at period boundaries.
 """
 
-from repro.streaming.aggregates import (
-    CountOperator,
-    MaxOperator,
-    MeanOperator,
-    MinOperator,
-    SumOperator,
-    VarianceOperator,
-)
-from repro.streaming.checkpoint import EngineCheckpoint
-from repro.streaming.engine import (
-    StreamEngine,
-    WindowResult,
-    run_query,
-    run_query_batched,
-    run_query_chunked,
-)
-from repro.streaming.event import Event
-from repro.streaming.operator import IncrementalOperator, SubWindowOperator
-from repro.streaming.partition import StreamPartitioner, available_partitioners
-from repro.streaming.plan import ExecutionPlan
-from repro.streaming.query import Query
-from repro.streaming.sharded import ShardedEngine, run_sharded
-from repro.streaming.sources import (
-    Chunk,
-    as_chunk,
-    chunk_stream,
-    events_from_values,
-    events_of_chunks,
-    merge_sources,
-    value_stream,
-)
-from repro.streaming.windows import CountWindow, TimeWindow
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Chunk",
-    "CountOperator",
-    "CountWindow",
-    "EngineCheckpoint",
-    "Event",
-    "ExecutionPlan",
-    "IncrementalOperator",
-    "MaxOperator",
-    "MeanOperator",
-    "MinOperator",
-    "Query",
-    "ShardedEngine",
-    "StreamEngine",
-    "StreamPartitioner",
-    "SubWindowOperator",
-    "SumOperator",
-    "TimeWindow",
-    "VarianceOperator",
-    "WindowResult",
-    "as_chunk",
-    "available_partitioners",
-    "chunk_stream",
-    "events_from_values",
-    "events_of_chunks",
-    "merge_sources",
-    "run_query",
-    "run_query_batched",
-    "run_query_chunked",
-    "run_sharded",
-    "value_stream",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.streaming.aggregates": (
+        "CountOperator",
+        "MaxOperator",
+        "MeanOperator",
+        "MinOperator",
+        "SumOperator",
+        "VarianceOperator",
+    ),
+    "repro.streaming.checkpoint": ("EngineCheckpoint",),
+    "repro.streaming.engine": (
+        "StreamEngine",
+        "run_query",
+        "run_query_batched",
+        "run_query_chunked",
+    ),
+    "repro.streaming.event": ("Event",),
+    "repro.streaming.operator": ("IncrementalOperator", "SubWindowOperator"),
+    "repro.streaming.partition": ("StreamPartitioner", "available_partitioners"),
+    "repro.streaming.plan": ("ExecutionPlan",),
+    "repro.streaming.query": ("Query",),
+    "repro.streaming.result": ("WindowResult",),
+    "repro.streaming.sharded": ("ShardedEngine", "run_sharded"),
+    "repro.streaming.sources": (
+        "Chunk",
+        "as_chunk",
+        "chunk_stream",
+        "events_from_values",
+        "events_of_chunks",
+        "merge_sources",
+        "value_stream",
+    ),
+    "repro.streaming.windows": ("CountWindow", "TimeWindow"),
+})

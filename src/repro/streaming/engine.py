@@ -43,8 +43,8 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Callable, Generic, Iterable, Iterator, Optional, TypeVar, Union
+from dataclasses import replace
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -57,25 +57,9 @@ from repro.streaming.event import Event
 from repro.streaming.operator import IncrementalOperator, SubWindowOperator
 from repro.streaming.plan import ExecutionPlan
 from repro.streaming.query import Query
+from repro.streaming.result import WindowResult
 from repro.streaming.sources import Chunk, ChunkLike, as_chunk, chunk_stream, events_of_chunks
 from repro.streaming.windows import CountWindow, TimeWindow
-
-R = TypeVar("R")
-
-
-@dataclass(frozen=True, slots=True)
-class WindowResult(Generic[R]):
-    """One query evaluation.
-
-    ``index`` numbers evaluations from 0; ``window_count`` is the number of
-    (post-filter) elements the evaluation saw; ``end`` is the position (for
-    count windows) or timestamp (for time windows) of the window's end.
-    """
-
-    index: int
-    window_count: int
-    end: float
-    result: R
 
 
 class StreamEngine:

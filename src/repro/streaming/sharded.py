@@ -44,9 +44,10 @@ from repro.streaming.checkpoint import (
     require_window_match,
     restore_policy,
 )
-from repro.streaming.engine import WindowResult, filtered_chunks
+from repro.streaming.engine import filtered_chunks
 from repro.streaming.partition import StreamPartitioner
 from repro.streaming.query import Query
+from repro.streaming.result import WindowResult
 from repro.streaming.windows import CountWindow
 
 if TYPE_CHECKING:

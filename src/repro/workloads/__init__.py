@@ -23,40 +23,20 @@ Fully synthetic datasets follow the paper's specifications directly:
   emitting timestamped events with sources and error codes.
 """
 
-from repro.workloads.ar1 import generate_ar1
-from repro.workloads.bursts import BurstPattern, inject_bursts, pattern_window
-from repro.workloads.datacenter import Datacenter, DatacenterConfig, Incident
-from repro.workloads.netmon import generate_netmon
-from repro.workloads.precision import reduce_precision
-from repro.workloads.registry import (
-    available_datasets,
-    get_dataset,
-    stream_dataset,
-    stream_dataset_sharded,
-)
-from repro.workloads.search import generate_search
-from repro.workloads.synthetic import (
-    generate_normal,
-    generate_pareto,
-    generate_uniform,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BurstPattern",
-    "Datacenter",
-    "DatacenterConfig",
-    "Incident",
-    "available_datasets",
-    "generate_ar1",
-    "generate_netmon",
-    "generate_normal",
-    "generate_pareto",
-    "generate_search",
-    "generate_uniform",
-    "get_dataset",
-    "inject_bursts",
-    "pattern_window",
-    "reduce_precision",
-    "stream_dataset",
-    "stream_dataset_sharded",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.ar1": ("generate_ar1",),
+    "repro.workloads.bursts": ("BurstPattern", "inject_bursts", "pattern_window"),
+    "repro.workloads.datacenter": ("Datacenter", "DatacenterConfig", "Incident"),
+    "repro.workloads.netmon": ("generate_netmon",),
+    "repro.workloads.precision": ("reduce_precision",),
+    "repro.workloads.registry": (
+        "available_datasets",
+        "get_dataset",
+        "stream_dataset",
+        "stream_dataset_sharded",
+    ),
+    "repro.workloads.search": ("generate_search",),
+    "repro.workloads.synthetic": ("generate_normal", "generate_pareto", "generate_uniform"),
+})

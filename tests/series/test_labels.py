@@ -136,6 +136,13 @@ class TestSeriesKeyEncoding:
         )
         assert series_key("m", other) != key
 
+    def test_hashed_key_bytes_are_pinned(self):
+        # Hashed keys name on-disk series logs: the digest must never drift.
+        items = canonical_labelset(
+            {"host": "h-" + "é,=}" * 80, "region": "eu"}, ("host", "region"), "lat"
+        )
+        assert series_key("lat", items) == "lat{#c04aeea4e1764689a6b0f9854a977d66}"
+
     def test_hashed_key_parses_as_hashed_without_labels(self):
         labels = {"blob": "x" * 400}
         key = series_key("m", canonical_labelset(labels, ("blob",), "m"))

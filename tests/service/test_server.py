@@ -436,6 +436,27 @@ class TestControlOps:
         assert len(failures) >= 2
         assert all(record.levelname == "ERROR" for record in failures)
 
+    def test_handler_exceptions_are_logged_and_counted(
+        self, server, client, monkeypatch, caplog
+    ):
+        """A handler that raises answers with an error, logs the traceback,
+        counts it, and leaves the connection serving."""
+        handle = server._handle
+
+        def failing(request):
+            if request.get("op") == "snapshot":
+                raise RuntimeError("boom")
+            return handle(request)
+
+        monkeypatch.setattr(server, "_handle", failing)
+        with caplog.at_level("ERROR", logger="repro.service.server"):
+            with pytest.raises(ServerError, match="internal error handling 'snapshot': boom"):
+                client.snapshot()
+        (record,) = [r for r in caplog.records if r.name == "repro.service.server"]
+        assert "'snapshot'" in record.getMessage()
+        assert record.exc_info[0] is RuntimeError
+        assert client.stats()["pipeline"]["internal_errors"] == 1
+
     def test_shutdown_op_releases_wait_shutdown(self, server, client):
         assert not server.wait_shutdown(timeout=0.0)
         response = client.shutdown()
@@ -516,6 +537,29 @@ class TestShutdownDrain:
         server.stop()
         assert server.monitor._channels["rtt"].seen == 300
         assert server._forced_blocks == 2
+
+    def test_forced_parked_blocks_are_logged_per_route(self, caplog):
+        server = TelemetryServer(make_monitor())
+        server.start()
+        host, port = server.address
+        with TelemetryClient(host, port) as client:
+            client.observe("rtt", np.ones(100), seq=0)
+            client.observe("rtt", np.full(100, 3.0), seq=2)  # gap at seq=1
+            client.observe("rtt", np.full(100, 4.0), seq=3)
+            client.observe("rtt.exact", np.ones(100), seq=4)  # gap at seq=0
+        with caplog.at_level("WARNING", logger="repro.service.server"):
+            server.stop()
+        messages = [
+            r.getMessage()
+            for r in caplog.records
+            if r.name == "repro.service.server" and r.levelname == "WARNING"
+        ]
+        assert messages == [
+            "shutdown force-applied 2 parked block(s) of rtt past a seq gap; "
+            "lowest missing seq 1",
+            "shutdown force-applied 1 parked block(s) of rtt.exact past a seq "
+            "gap; lowest missing seq 0",
+        ]
 
     def test_shed_mode_server_reports_sheds_in_ack_and_stats(self):
         server = TelemetryServer(
